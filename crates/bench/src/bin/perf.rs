@@ -245,7 +245,8 @@ fn main() {
             kernel: v.name().into(),
         });
         // Drift leg: one whole-problem-tile traced run so the five-loop
-        // closed forms apply exactly, held to account per phase.
+        // closed forms apply exactly (per strip when the runner cuts the
+        // tile across threads), held to account per phase.
         if span::enabled() {
             let whole = Tiling { tile_m: korder, tile_n: korder, tile_k: 1 };
             let (_c, trun) = run_traced(&ka, &kb, whole, v, blocking::active_plan::<f64>());

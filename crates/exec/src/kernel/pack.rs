@@ -23,6 +23,7 @@
 //! and repacking costs one pass instead of a memset plus a pass.
 
 use super::elem::Element;
+use crate::blocking::BlockingPlan;
 use crate::matrix::BlockMatrixOf;
 
 /// Thread-local packing scratch, reused across a task's `k` panels and
@@ -61,6 +62,35 @@ pub fn a_panel_stride<T: Element>(q: usize, kc: usize) -> usize {
 /// Packed size of one block column's `B` micro-panels for a depth-`kc` panel.
 pub fn b_panel_stride<T: Element>(q: usize, kc: usize) -> usize {
     q.div_ceil(T::NR) * kc * T::NR
+}
+
+/// Upper bound on the packing-arena bytes of one `m×n×z`-block product
+/// of `q×q` blocks under `plan`: per packing thread, one `A` panel of
+/// `MC` block rows and one `B` panel of `NC` block columns, both `KC`
+/// deep, at their padded packed sizes (steps rounded to whole blocks and
+/// clamped to the problem, as the 5-loop runner does). Each thread packs
+/// into its own thread-local arena, and the threads of one product are
+/// the caller plus the pool workers that join it,
+/// `rayon::current_num_threads()` in all. `None` when the bound
+/// overflows `u64`.
+pub fn arena_bound_bytes<T: Element>(
+    m: u32,
+    n: u32,
+    z: u32,
+    q: usize,
+    plan: BlockingPlan,
+) -> Option<u64> {
+    let steps = |elems: usize, extent: u32| ((elems / q.max(1)).max(1) as u64).min(extent as u64);
+    let q64 = q as u64;
+    let kc = steps(plan.kc, z).checked_mul(q64)?;
+    let a_stride = q64.div_ceil(T::MR as u64).checked_mul(T::MR as u64)?.checked_mul(kc)?;
+    let b_stride = q64.div_ceil(T::NR as u64).checked_mul(T::NR as u64)?.checked_mul(kc)?;
+    let a_panel = steps(plan.mc, m).checked_mul(a_stride)?;
+    let b_panel = steps(plan.nc, n).checked_mul(b_stride)?;
+    a_panel
+        .checked_add(b_panel)?
+        .checked_mul(std::mem::size_of::<T>() as u64)?
+        .checked_mul(rayon::current_num_threads() as u64)
 }
 
 /// Size `dst` for `len` packed elements without re-zeroing retained
@@ -241,5 +271,31 @@ mod tests {
         });
         let cap2 = with_arena::<f64, _>(|ar| ar.a.capacity());
         assert_eq!(cap, cap2, "same thread sees the same arena");
+    }
+
+    #[test]
+    fn arena_bound_covers_what_a_product_packs() {
+        use crate::runner::{gemm_parallel_with_plan, Tiling};
+        let plan = BlockingPlan { mc: 2 * 5, kc: 3 * 5, nc: 2 * 5 };
+        let (m, n, z, q) = (7u32, 6u32, 9u32, 5usize);
+        // A fresh thread running a one-thread pool: the only arena touched
+        // is this thread's, and it starts empty.
+        let (packed, bound) = std::thread::spawn(move || {
+            let one = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+            one.install(|| {
+                let a = BlockMatrixOf::<f64>::pseudo_random(m, z, q, 1);
+                let b = BlockMatrixOf::<f64>::pseudo_random(z, n, q, 2);
+                let whole = Tiling { tile_m: m, tile_n: n, tile_k: z };
+                let v = crate::kernel::variant();
+                drop(gemm_parallel_with_plan(&a, &b, whole, v, plan));
+                let packed = with_arena::<f64, _>(|ar| (ar.a.len() + ar.b.len()) as u64 * 8);
+                (packed, arena_bound_bytes::<f64>(m, n, z, q, plan).unwrap())
+            })
+        })
+        .join()
+        .unwrap();
+        assert!(packed <= bound, "packed {packed} B over the bound {bound} B");
+        // A hostile block side overflows instead of wrapping.
+        assert_eq!(arena_bound_bytes::<f64>(1, 1, 1, usize::MAX / 2, plan), None);
     }
 }

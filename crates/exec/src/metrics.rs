@@ -10,7 +10,8 @@
 //!   pays one relaxed atomic add per task, not per block.
 //! * `exec.flops.schedule` — FLOPs retired by the exact schedule
 //!   replayer ([`crate::ExecSink`]), counted per `fma` event.
-//! * `exec.tiles.<variant>` — tiles completed per kernel variant.
+//! * `exec.tiles.<variant>` — tasks (tiles, or tile strips when tiles
+//!   are cut across threads) completed per kernel variant.
 //! * `exec.pack_bytes` — bytes written into packing arenas by
 //!   [`crate::kernel::pack::pack_a_panel`] / `pack_b_panel`: the real
 //!   memory traffic the packed path adds in exchange for contiguous

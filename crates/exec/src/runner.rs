@@ -7,9 +7,18 @@
 //!   compute the right product (the simulator only proved they touch the
 //!   right blocks);
 //! * [`gemm_parallel`] runs the tilings the algorithms prescribe with a
-//!   rayon thread pool, one task per `C` tile, which is how the schedules
-//!   map onto a real shared-memory machine (the paper's "future work:
-//!   implement all algorithms on state-of-the-art multicore machines").
+//!   rayon thread pool, which is how the schedules map onto a real
+//!   shared-memory machine (the paper's "future work: implement all
+//!   algorithms on state-of-the-art multicore machines").
+//!
+//! The paper's tiling decides what sits in the shared cache; the live
+//! thread count decides how many tasks run. Each `C` tile is one task
+//! when there are at least as many tiles as threads
+//! (`rayon::current_num_threads()`); otherwise every tile is cut into
+//! just enough strips of whole block rows (block columns for a one-row
+//! tile) to give every thread a task, and each strip packs its own
+//! panels. Either way
+//! every `C` block has exactly one owning task (see `work_units`).
 //!
 //! Inside each task, SIMD variants run a BLIS-style 5-loop macro-kernel:
 //!
@@ -205,11 +214,15 @@ fn check_gemm_shapes<T: Element>(a: &BlockMatrixOf<T>, b: &BlockMatrixOf<T>, til
 
 /// `C = A × B` with rayon tasks over `tiling`-sized `C` tiles.
 ///
-/// Each task computes one `C` tile completely (all `k` panels in ascending
-/// order), mirroring how the paper's algorithms hand whole `C` tiles /
-/// sub-blocks to cores so that each output block is written by exactly one
-/// core. Within a task, SIMD variants run the 5-loop macro-kernel under
-/// [`blocking::active_plan`].
+/// Each task computes its part of `C` completely (all `k` panels in
+/// ascending order), mirroring how the paper's algorithms hand whole `C`
+/// tiles / sub-blocks to cores so that each output block is written by
+/// exactly one core. When the tiling yields fewer tiles than
+/// `rayon::current_num_threads()`, each tile is cut into row (or column)
+/// strips so every thread gets a task (`work_units`);
+/// the cut never changes a block's accumulation order, so results stay
+/// bit-identical. Within a task, SIMD variants run the 5-loop
+/// macro-kernel under [`blocking::active_plan`].
 ///
 /// # Panics
 /// Panics if the shapes or block sides are incompatible or the tiling has
@@ -277,26 +290,36 @@ fn gemm_parallel_inner<T: Element>(
     cancel: Option<&CancelToken>,
 ) -> Option<BlockMatrixOf<T>> {
     check_gemm_shapes(a, b, tiling);
-    let (m, n, z) = (a.rows(), b.cols(), a.cols());
-    let q = a.q();
-    let mut c = BlockMatrixOf::<T>::zeros(m, n, q);
+    let mut c = BlockMatrixOf::<T>::zeros(a.rows(), b.cols(), a.q());
+    run_units(&mut c, a, b, tiling, variant, plan, cancel).then_some(c)
+}
 
-    let tiles = enumerate_tiles(m, n, tiling);
+/// Run every work unit of `C += A × B` on the rayon pool; `false` when
+/// `cancel` fired.
+fn run_units<T: Element>(
+    c: &mut BlockMatrixOf<T>,
+    a: &BlockMatrixOf<T>,
+    b: &BlockMatrixOf<T>,
+    tiling: Tiling,
+    variant: KernelVariant,
+    plan: BlockingPlan,
+    cancel: Option<&CancelToken>,
+) -> bool {
+    let units = work_units(a.rows(), b.cols(), tiling, rayon::current_num_threads());
     let cptr = SendPtr(c.data_mut().as_mut_ptr());
     // The caller's trace context, carried into the pool closures (worker
     // threads cannot see the caller's thread-local job).
     let job = span::current_job();
-    tiles.par_iter().for_each(|&tile| {
-        run_tile(variant, a, b, cptr, z, tiling, plan, tile, job, cancel);
+    let z = a.cols();
+    units.par_iter().for_each(|&unit| {
+        run_tile(variant, a, b, cptr, z, tiling, plan, unit, job, cancel);
     });
-    if cancel.is_some_and(CancelToken::is_cancelled) {
-        return None;
-    }
-    Some(c)
+    !cancel.is_some_and(CancelToken::is_cancelled)
 }
 
 /// `C += A × B` with rayon tasks over `tiling`-sized `C` tiles,
-/// accumulating into the caller's `c` instead of zeroing it.
+/// accumulating into the caller's `c` instead of zeroing it. Tiles are
+/// cut across threads exactly as in [`gemm_parallel`].
 ///
 /// This is the panel-grained entry point the out-of-core executor
 /// streams through: each prefetched `(A panel, B panel)` pair is one
@@ -334,19 +357,12 @@ pub fn gemm_accumulate_cancellable<T: Element>(
 ) -> bool {
     check_gemm_shapes(a, b, tiling);
     assert_eq!((c.rows(), c.cols(), c.q()), (a.rows(), b.cols(), a.q()));
-    let (m, n, z) = (a.rows(), b.cols(), a.cols());
-    let plan = blocking::active_plan::<T>();
-    let tiles = enumerate_tiles(m, n, tiling);
-    let cptr = SendPtr(c.data_mut().as_mut_ptr());
-    let job = span::current_job();
-    tiles.par_iter().for_each(|&tile| {
-        run_tile(variant, a, b, cptr, z, tiling, plan, tile, job, cancel);
-    });
-    !cancel.is_some_and(CancelToken::is_cancelled)
+    run_units(c, a, b, tiling, variant, blocking::active_plan::<T>(), cancel)
 }
 
 /// One wall-clock task record from [`gemm_parallel_traced`]: which worker
-/// thread computed which `C` tile, and when.
+/// thread computed which `C` tile (or tile strip, see [`gemm_parallel`]),
+/// and when.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TaskSpan {
     /// Rayon worker-thread index that ran the task, or `None` when the
@@ -369,7 +385,8 @@ pub struct TaskSpan {
 }
 
 /// [`gemm_parallel`] plus a wall-clock flight record: returns the product
-/// and one [`TaskSpan`] per `C` tile (thread id, tile coordinates,
+/// and one [`TaskSpan`] per task — a `C` tile, or a strip of one when
+/// tiles are cut across threads (thread id, block coordinates,
 /// start/duration). Spans are sorted by start time.
 ///
 /// Built on the unified span recorder ([`mmc_obs::span`]): the run gets
@@ -418,6 +435,48 @@ pub fn task_spans_to_chrome(spans: &[TaskSpan]) -> String {
     b.finish()
 }
 
+/// The tasks of an `m×n`-block product under `tiling` on `threads`
+/// threads, as `(row0, rows, col0, cols)` block ranges of `C`.
+///
+/// With at least as many tiles as threads these are the tiling's tiles.
+/// Otherwise each tile is cut into `⌈threads / tiles⌉` near-equal strips
+/// (fewer if it has fewer blocks along the cut) of whole block rows — of
+/// block columns when the tile has one block row — the fewest that leave
+/// no thread idle. Units partition the `C` grid either way, so every
+/// `C` block has one owner. Each unit runs the unchanged tile 5-loop and
+/// packs its own panels, so a row cut repacks the tile's `B` panel once
+/// per strip; [`crate::ExecModel::pack_bytes`] prices that from this
+/// same enumeration.
+pub(crate) fn work_units(
+    m: u32,
+    n: u32,
+    tiling: Tiling,
+    threads: usize,
+) -> Vec<(u32, u32, u32, u32)> {
+    let tiles = enumerate_tiles(m, n, tiling);
+    if tiles.len() >= threads {
+        return tiles;
+    }
+    let parts = threads.div_ceil(tiles.len().max(1)).min(u32::MAX as usize) as u32;
+    let mut units = Vec::new();
+    for (i0, th, j0, tw) in tiles {
+        if th > 1 {
+            units.extend(strips(th, parts).map(|(r0, rh)| (i0 + r0, rh, j0, tw)));
+        } else {
+            units.extend(strips(tw, parts).map(|(c0, cw)| (i0, th, j0 + c0, cw)));
+        }
+    }
+    units
+}
+
+/// `extent` cut into `min(parts, extent)` consecutive `(start, len)`
+/// strips whose lengths differ by at most one.
+fn strips(extent: u32, parts: u32) -> impl Iterator<Item = (u32, u32)> {
+    let k = parts.clamp(1, extent.max(1));
+    let (base, extra) = (extent / k, extent % k);
+    (0..k).map(move |s| (s * base + s.min(extra), base + u32::from(s < extra)))
+}
+
 /// Tile decomposition of an `m×n` block grid (clamped at the edges).
 fn enumerate_tiles(m: u32, n: u32, tiling: Tiling) -> Vec<(u32, u32, u32, u32)> {
     let mut tiles = Vec::new();
@@ -435,7 +494,8 @@ fn enumerate_tiles(m: u32, n: u32, tiling: Tiling) -> Vec<(u32, u32, u32, u32)> 
     tiles
 }
 
-/// Compute one `C` tile completely (all `k` panels in ascending order).
+/// Compute one work unit — a `C` tile or a strip of one — completely
+/// (all `k` panels in ascending order).
 ///
 /// SIMD kernel variants take the packed 5-loop path under `plan`; the
 /// scalar fallback streams unpacked blocks through the original per-block
@@ -499,8 +559,8 @@ fn worker_thread() -> Option<u32> {
 /// Mutable view of `C` block `(i, j)` through the shared tile pointer.
 ///
 /// # Safety
-/// Block `(i, j)` must belong to the caller's tile — tiles partition the
-/// `(i, j)` index grid and each tile is processed by exactly one task, so
+/// Block `(i, j)` must belong to the caller's unit — units partition the
+/// `(i, j)` index grid and each unit is processed by exactly one task, so
 /// the slice is never aliased. The offset is in bounds for `i < m`,
 /// `j < n`.
 #[inline]
@@ -544,7 +604,7 @@ fn run_tile_blockwise<T: Element>(
         let pc_start = if tracing { span::now_ns() } else { 0 };
         for i in i0..i0 + th {
             for j in j0..j0 + tw {
-                // SAFETY: see `c_block_mut` — (i, j) is owned by this tile.
+                // SAFETY: see `c_block_mut` — (i, j) is owned by this unit.
                 let cblk = unsafe { c_block_mut(cptr, ncols, q2, i, j) };
                 for k in k0..k0 + kb {
                     kernel::block_fma_with(variant, cblk, a.block(i, k), b.block(k, j), q);
@@ -656,7 +716,7 @@ fn run_tile_packed<T: Element>(
                         for bi in 0..ih {
                             let apack = &arena.a[bi as usize * a_stride..][..a_stride];
                             // SAFETY: see `c_block_mut` — (i0+ic+bi,
-                            // j0+jc+bj) is owned by this tile.
+                            // j0+jc+bj) is owned by this unit.
                             let cblk =
                                 unsafe { c_block_mut(cptr, ncols, q2, i0 + ic + bi, j0 + jc + bj) };
                             kernel::packed::block_mul_packed(variant, cblk, q, kc, apack, bpack);
@@ -750,6 +810,12 @@ mod tests {
 
     fn operands(m: u32, n: u32, z: u32, q: usize) -> (BlockMatrix, BlockMatrix) {
         (BlockMatrix::pseudo_random(m, z, q, 11), BlockMatrix::pseudo_random(z, n, q, 22))
+    }
+
+    /// Run `op` under a `threads`-thread pool, so the work-unit count does
+    /// not depend on the host's parallelism.
+    fn on_threads<R>(threads: usize, op: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap().install(op)
     }
 
     #[test]
@@ -989,7 +1055,8 @@ mod tests {
         let (a, b) = operands(9, 7, 5, 4);
         let oracle = gemm_naive(&a, &b);
         let tiling = Tiling { tile_m: 4, tile_n: 3, tile_k: 2 };
-        let (c, spans) = gemm_parallel_traced(&a, &b, tiling);
+        // Two threads, fewer than the tiles, so no tile is cut.
+        let (c, spans) = on_threads(2, || gemm_parallel_traced(&a, &b, tiling));
         assert_eq!(c, oracle);
         // One span per tile, tiles partition the 9×7 grid.
         assert_eq!(spans.len(), 3 * 3);
@@ -1004,7 +1071,9 @@ mod tests {
     #[test]
     fn task_spans_export_to_chrome_json() {
         let (a, b) = operands(4, 4, 4, 2);
-        let (_, spans) = gemm_parallel_traced(&a, &b, Tiling { tile_m: 2, tile_n: 2, tile_k: 4 });
+        let tiling = Tiling { tile_m: 2, tile_n: 2, tile_k: 4 };
+        // Two threads for four tiles: spans are whole tiles.
+        let (_, spans) = on_threads(2, || gemm_parallel_traced(&a, &b, tiling));
         let text = task_spans_to_chrome(&spans);
         assert!(text.starts_with('{') && text.ends_with('}'));
         assert!(text.contains("\"traceEvents\""));
@@ -1082,6 +1151,67 @@ mod tests {
         let c = gemm_parallel_cancellable(&a, &b, tiling, v, plan, &live)
             .expect("uncancelled job completes");
         assert_eq!(c, gemm_naive(&a, &b));
+    }
+
+    #[test]
+    fn work_units_cut_tiles_only_when_threads_outnumber_them() {
+        let t = Tiling { tile_m: 4, tile_n: 4, tile_k: 1 };
+        // Four tiles on two threads: the tiling's own tiles.
+        assert_eq!(work_units(8, 8, t, 2), enumerate_tiles(8, 8, t));
+        // One 7×5 tile on three threads: near-equal row strips.
+        let whole = Tiling { tile_m: 7, tile_n: 5, tile_k: 1 };
+        assert_eq!(work_units(7, 5, whole, 3), vec![(0, 3, 0, 5), (3, 2, 0, 5), (5, 2, 0, 5)]);
+        // A one-row tile is cut into column strips; never more strips
+        // than the tile has blocks along the cut.
+        assert_eq!(work_units(1, 3, whole, 4), vec![(0, 1, 0, 1), (0, 1, 1, 1), (0, 1, 2, 1)]);
+        assert_eq!(work_units(1, 1, whole, 4), vec![(0, 1, 0, 1)]);
+        // Three tiles on four threads: two strips each (⌈4/3⌉), not four,
+        // so each tile's B panel is packed twice rather than four times.
+        let three = Tiling { tile_m: 2, tile_n: 2, tile_k: 1 };
+        assert_eq!(
+            work_units(2, 6, three, 4),
+            vec![
+                (0, 1, 0, 2),
+                (1, 1, 0, 2),
+                (0, 1, 2, 2),
+                (1, 1, 2, 2),
+                (0, 1, 4, 2),
+                (1, 1, 4, 2)
+            ]
+        );
+        // Units always partition the C grid.
+        for threads in 1..6 {
+            let units = work_units(7, 5, Tiling { tile_m: 4, tile_n: 5, tile_k: 1 }, threads);
+            let mut owners = vec![0u32; 7 * 5];
+            for (i0, th, j0, tw) in units {
+                for i in i0..i0 + th {
+                    for j in j0..j0 + tw {
+                        owners[(i * 5 + j) as usize] += 1;
+                    }
+                }
+            }
+            assert!(owners.iter().all(|&o| o == 1), "{threads} threads: {owners:?}");
+        }
+    }
+
+    #[test]
+    fn cancelled_split_run_returns_none_and_pool_keeps_serving() {
+        let (a, b) = operands(6, 5, 4, 4);
+        let whole = Tiling { tile_m: 6, tile_n: 5, tile_k: 4 };
+        let plan = blocking::active_plan::<f64>();
+        let v = kernel::variant();
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        pool.install(|| {
+            let token = CancelToken::new();
+            token.cancel();
+            assert!(gemm_parallel_cancellable(&a, &b, whole, v, plan, &token).is_none());
+            let mut c = BlockMatrix::zeros(6, 5, 4);
+            assert!(!gemm_accumulate_cancellable(&mut c, &a, &b, whole, v, Some(&token)));
+            let live = CancelToken::new();
+            let c = gemm_parallel_cancellable(&a, &b, whole, v, plan, &live)
+                .expect("uncancelled job completes");
+            assert_eq!(c, gemm_naive(&a, &b));
+        });
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::blocking::BlockingPlan;
 use crate::kernel::elem::Element;
 use crate::kernel::KernelVariant;
 use crate::matrix::BlockMatrixOf;
-use crate::runner::{gemm_parallel_with_plan, TaskSpan, Tiling};
+use crate::runner::{gemm_parallel_with_plan, work_units, TaskSpan, Tiling};
 use mmc_obs::span::{self, SpanKind, SpanRecord};
 use mmc_obs::{DriftReport, PhaseSample};
 use mmc_sim::ChromeTraceBuilder;
@@ -66,7 +66,8 @@ pub fn run_traced<T: Element>(
 }
 
 /// The tile-level flight record of a traced run: one [`TaskSpan`] per
-/// `C` tile, start times relative to the run's epoch, sorted by start.
+/// task (`C` tile or tile strip), start times relative to the run's
+/// epoch, sorted by start.
 pub fn task_spans(run: &TracedRun) -> Vec<TaskSpan> {
     let mut out: Vec<TaskSpan> = run
         .spans
@@ -153,6 +154,9 @@ pub struct ExecModel {
     pub elem_bytes: usize,
     /// Tiling the run used (tiles bound the per-tile loop extents).
     pub tiling: Tiling,
+    /// Threads the run's pool had (`rayon::current_num_threads()`): with
+    /// fewer tiles than threads the runner cuts tiles into strips.
+    pub threads: usize,
     /// Single-thread peak for the dispatched kernel, GFLOP/s — measured
     /// span time is *summed across threads* (CPU-seconds), so the
     /// prediction must be priced at one thread's roof, not the chip's.
@@ -163,7 +167,8 @@ pub struct ExecModel {
 
 impl ExecModel {
     /// Build the model for a run: problem shape from the operand grid,
-    /// roofs from the roofline module's estimates.
+    /// thread count from the current rayon pool (call it where the run
+    /// runs), roofs from the roofline module's estimates.
     pub fn for_run<T: Element>(
         a: &BlockMatrixOf<T>,
         b: &BlockMatrixOf<T>,
@@ -182,6 +187,7 @@ impl ExecModel {
             q: a.q(),
             elem_bytes: std::mem::size_of::<T>(),
             tiling,
+            threads: rayon::current_num_threads(),
             peak_gflops: mmc_obs::peak_gflops_estimate(
                 1,
                 mmc_obs::cpu_ghz_estimate(),
@@ -198,27 +204,21 @@ impl ExecModel {
     }
 
     /// Predicted pack traffic in bytes, per side, from the five-loop
-    /// model applied tile by tile: `A` is repacked once per `jc` pass
-    /// (`th·z·⌈tw/NC_b⌉` blocks per tile — the `m·z·⌈n/NC⌉` term of
-    /// `M_S`), `B` is packed once per `(jc, pc)` (`tw·z` blocks per
-    /// tile — the `z·n` term).
+    /// model applied to each of the runner's work units
+    /// (`runner::work_units`): `A` is repacked once per `jc`
+    /// pass (`th·z·⌈tw/NC_b⌉` blocks per unit — the `m·z·⌈n/NC⌉` term of
+    /// `M_S`), `B` is packed once per `(jc, pc)` (`tw·z` blocks per unit —
+    /// the `z·n` term, repeated for every row strip of a cut tile).
     pub fn pack_bytes(&self, plan: BlockingPlan) -> (u64, u64) {
         let nc_b = ((plan.nc / self.q).max(1)) as u64;
         let block_bytes = (self.q * self.q * self.elem_bytes) as u64;
-        let (mut a_blocks, mut b_blocks) = (0u64, 0u64);
-        let mut i0 = 0;
-        while i0 < self.m {
-            let th = self.tiling.tile_m.min(self.m - i0) as u64;
-            let mut j0 = 0;
-            while j0 < self.n {
-                let tw = self.tiling.tile_n.min(self.n - j0) as u64;
-                let jc_passes = tw.div_ceil(nc_b.min(tw).max(1));
-                a_blocks += th * self.z as u64 * jc_passes;
-                b_blocks += tw * self.z as u64;
-                j0 += tw as u32;
-            }
-            i0 += th as u32;
-        }
+        let z = self.z as u64;
+        let (a_blocks, b_blocks) = work_units(self.m, self.n, self.tiling, self.threads)
+            .into_iter()
+            .fold((0u64, 0u64), |(a, b), (_, th, _, tw)| {
+                let (th, tw) = (th as u64, tw as u64);
+                (a + th * z * tw.div_ceil(nc_b.min(tw)), b + tw * z)
+            });
         (a_blocks * block_bytes, b_blocks * block_bytes)
     }
 }
@@ -296,6 +296,12 @@ mod tests {
         (BlockMatrix::pseudo_random(m, z, q, 31), BlockMatrix::pseudo_random(z, n, q, 32))
     }
 
+    /// Run `op` under a `threads`-thread pool, so the work-unit count does
+    /// not depend on the host's parallelism.
+    fn on_threads<R>(threads: usize, op: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap().install(op)
+    }
+
     fn traced(
         m: u32,
         n: u32,
@@ -313,7 +319,8 @@ mod tests {
     #[test]
     fn traced_run_collects_every_loop_level() {
         let tiling = Tiling { tile_m: 3, tile_n: 3, tile_k: 2 };
-        let (_, _, run) = traced(6, 6, 5, 4, tiling);
+        // Two threads for four tiles: no tile is cut.
+        let (_, _, run) = on_threads(2, || traced(6, 6, 5, 4, tiling));
         if !span::enabled() {
             assert!(run.spans.is_empty());
             return;
@@ -339,8 +346,8 @@ mod tests {
     #[test]
     fn two_traced_runs_do_not_bleed_spans() {
         let tiling = Tiling { tile_m: 2, tile_n: 2, tile_k: 2 };
-        let (_, _, first) = traced(4, 4, 3, 3, tiling);
-        let (_, _, second) = traced(4, 4, 3, 3, tiling);
+        let (_, _, first) = on_threads(2, || traced(4, 4, 3, 3, tiling));
+        let (_, _, second) = on_threads(2, || traced(4, 4, 3, 3, tiling));
         assert_ne!(first.job, second.job);
         assert!(second.spans.iter().all(|s| s.job == second.job));
         if span::enabled() {
@@ -380,32 +387,72 @@ mod tests {
         assert!(report.flagged.is_empty(), "{:?}", report.flagged);
     }
 
+    /// Logical `PackA`/`PackB` bytes a traced run recorded, next to the
+    /// model's prediction for the same run, under a `threads`-thread pool.
+    fn pack_bytes_under(
+        threads: usize,
+        (m, n, z, q): (u32, u32, u32, usize),
+        tiling: Tiling,
+    ) -> Option<[(u64, u64); 2]> {
+        on_threads(threads, || {
+            let (a, b, run) = traced(m, n, z, q, tiling);
+            if !span::enabled() {
+                return None;
+            }
+            let model = ExecModel::for_run(&a, &b, tiling, run.variant);
+            assert_eq!(model.threads, threads);
+            let logical = |kind: SpanKind| -> u64 {
+                run.spans.iter().filter(|s| s.kind == kind).map(|s| s.pred).sum()
+            };
+            Some([model.pack_bytes(run.plan), (logical(SpanKind::PackA), logical(SpanKind::PackB))])
+        })
+    }
+
     #[test]
     fn pack_byte_accounting_matches_the_five_loop_terms() {
-        // Whole problem as one tile: the pack predictions reduce to the
-        // exact M_S terms m·z·⌈n/NC⌉ and z·n, and the packed path's
-        // measured `pred` bytes (logical panel bytes) must agree.
-        let variant = kernel::variant();
-        if !variant.is_simd() {
+        // Whole problem as one tile on one thread (no strip cut): the pack
+        // predictions reduce to the exact M_S terms m·z·⌈n/NC⌉ and z·n,
+        // and the packed path's measured `pred` bytes (logical panel
+        // bytes) must agree.
+        if !kernel::variant().is_simd() {
             return;
         }
         let (m, n, z, q) = (6u32, 8u32, 5u32, 4usize);
         let tiling = Tiling { tile_m: m, tile_n: n, tile_k: 1 };
-        let (a, b, run) = traced(m, n, z, q, tiling);
-        if !span::enabled() {
+        let Some([predicted, logical]) = pack_bytes_under(1, (m, n, z, q), tiling) else {
+            return;
+        };
+        let plan = blocking::active_plan::<f64>();
+        let nc_b = ((plan.nc / q).max(1) as u64).min(n as u64);
+        let block = (q * q * 8) as u64;
+        assert_eq!(predicted.0, m as u64 * z as u64 * (n as u64).div_ceil(nc_b) * block);
+        assert_eq!(predicted.1, z as u64 * n as u64 * block);
+        assert_eq!(logical, predicted);
+    }
+
+    #[test]
+    fn pack_byte_prediction_prices_strip_cut_tiles() {
+        // One tile on two threads: the runner cuts it into two row strips
+        // that each pack the whole B panel, and the model's prediction —
+        // walking the same work units — must match the recorded bytes.
+        if !kernel::variant().is_simd() {
             return;
         }
-        let model = ExecModel::for_run(&a, &b, tiling, variant);
-        let (pack_a_bytes, pack_b_bytes) = model.pack_bytes(run.plan);
-        let nc_b = ((run.plan.nc / q).max(1) as u64).min(n as u64);
-        let block = (q * q * 8) as u64;
-        assert_eq!(pack_a_bytes, m as u64 * z as u64 * (n as u64).div_ceil(nc_b) * block);
-        assert_eq!(pack_b_bytes, z as u64 * n as u64 * block);
-        let logical = |kind: SpanKind| -> u64 {
-            run.spans.iter().filter(|s| s.kind == kind).map(|s| s.pred).sum()
+        let (m, n, z, q) = (6u32, 8u32, 5u32, 4usize);
+        let tiling = Tiling { tile_m: m, tile_n: n, tile_k: 1 };
+        let Some([predicted, logical]) = pack_bytes_under(2, (m, n, z, q), tiling) else {
+            return;
         };
-        assert_eq!(logical(SpanKind::PackA), pack_a_bytes);
-        assert_eq!(logical(SpanKind::PackB), pack_b_bytes);
+        assert_eq!(logical, predicted);
+        assert_eq!(predicted.1, 2 * z as u64 * n as u64 * (q * q * 8) as u64, "B packed per strip");
+        // A one-row tile is cut into column strips instead: B is not
+        // duplicated, A is packed once per strip.
+        let row = Tiling { tile_m: 1, tile_n: n, tile_k: 1 };
+        let Some([predicted, logical]) = pack_bytes_under(2, (1, n, z, q), row) else {
+            return;
+        };
+        assert_eq!(logical, predicted);
+        assert_eq!(predicted.1, z as u64 * n as u64 * (q * q * 8) as u64);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! per ascending `k` step regardless of where the panels cut.
 
 use mmc_exec::{
-    gemm_naive, gemm_parallel_with_kernel, gemm_parallel_with_plan, kernel, BlockMatrix,
-    BlockMatrixOf, BlockingPlan, Tiling,
+    gemm_accumulate, gemm_naive, gemm_parallel_with_kernel, gemm_parallel_with_plan, kernel,
+    BlockMatrix, BlockMatrixOf, BlockingPlan, Tiling,
 };
 use proptest::prelude::*;
 
@@ -92,6 +92,36 @@ proptest! {
                 }
             }
             prop_assert!(worst < 1e-3, "variant {} worst gap {}", v, worst);
+        }
+    }
+
+    /// Tiles cut across threads: under 1–4-thread pools, ragged shapes
+    /// whose tiling yields fewer tiles than threads — one whole-grid tile
+    /// for the overwrite path, at most two row tiles for the accumulate
+    /// path — stay `==` the naive oracle for every SIMD variant.
+    #[test]
+    fn tiles_cut_across_threads_match_the_oracle(
+        threads in 1usize..5,
+        m in 1u32..9,
+        n in 1u32..9,
+        z in 1u32..7,
+        q in 1usize..14,
+    ) {
+        let a = BlockMatrix::pseudo_random(m, z, q, 101);
+        let b = BlockMatrix::pseudo_random(z, n, q, 102);
+        let oracle = gemm_naive(&a, &b);
+        let whole = Tiling { tile_m: m, tile_n: n, tile_k: z };
+        let halves = Tiling { tile_m: m.div_ceil(2), tile_n: n, tile_k: 2 };
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        for v in kernel::variants_available().into_iter().filter(|v| v.is_simd()) {
+            let (c, acc) = pool.install(|| {
+                let c = gemm_parallel_with_kernel(&a, &b, whole, v);
+                let mut acc = BlockMatrix::zeros(m, n, q);
+                gemm_accumulate(&mut acc, &a, &b, halves, v);
+                (c, acc)
+            });
+            prop_assert_eq!(&c, &oracle, "variant {} on {} threads", v, threads);
+            prop_assert_eq!(&acc, &oracle, "accumulate, variant {} on {} threads", v, threads);
         }
     }
 }

@@ -24,6 +24,8 @@ use serde::{Deserialize, Serialize};
 
 use mmc_core::params::ooc_staging;
 use mmc_core::{formulas, OocStaging, ProblemSpec};
+use mmc_exec::blocking;
+use mmc_exec::kernel::pack::arena_bound_bytes;
 use mmc_exec::runner::gemm_accumulate_cancellable;
 use mmc_exec::{gemm_parallel_with_kernel, BlockMatrix, CancelToken, KernelVariant, Tiling};
 use mmc_obs::span::{self, SpanKind};
@@ -195,19 +197,6 @@ pub struct OocReport {
     pub drift: Option<DriftReport>,
 }
 
-fn ceil_div(a: u32, b: u32) -> u32 {
-    a.div_ceil(b)
-}
-
-/// The compute tiling inside one resident `th×tw` `C` tile: split it
-/// into roughly `√p × √p` sub-tiles so every core gets work, with the
-/// panel's full depth as `tile_k` (any split is bit-identical; this one
-/// maximizes packing reuse).
-fn inner_tiling(th: u32, tw: u32, kd: u32, cores: usize) -> Tiling {
-    let pr = ((cores as f64).sqrt().round() as u32).max(1);
-    Tiling { tile_m: ceil_div(th, pr).max(1), tile_n: ceil_div(tw, pr).max(1), tile_k: kd.max(1) }
-}
-
 /// Build the Tradeoff staging order: for every `α×α` `C` tile in
 /// row-major order, alternate `A` row-panel and `B` column-panel
 /// requests along `k` in `β` steps.
@@ -374,7 +363,9 @@ fn ooc_multiply_inner(
                 consumed += 2;
                 let a_panel = BlockMatrix::from_vec(th, kd, q, pa.data);
                 let b_panel = BlockMatrix::from_vec(kd, tw, q, pb.data);
-                let tiling = inner_tiling(th, tw, kd, opts.machine.cores);
+                // The whole resident tile is one tiling tile; the
+                // runner cuts it across the pool's live threads.
+                let tiling = Tiling { tile_m: th, tile_n: tw, tile_k: kd };
                 let acc_start = if span::enabled() { span::now_ns() } else { 0 };
                 let t0 = Instant::now();
                 // Inside each call the executor runs its 5-loop
@@ -457,13 +448,10 @@ fn ooc_multiply_inner(
         sigma_d: opts.machine.sigma_d,
     };
 
-    // Pack-arena bound: each rayon worker (plus the caller) packs one
-    // inner A panel and one inner B panel of at most
-    // (tile_m + tile_n)·β·q² elements at a time.
-    let t = inner_tiling(alpha, alpha, beta, opts.machine.cores);
-    let workers = rayon::current_num_threads() as u64 + 1;
+    // Every accumulate call multiplies at most an α×β by a β×α panel.
     let pack_arena_bound_bytes =
-        workers * (t.tile_m as u64 + t.tile_n as u64) * beta as u64 * block_bytes;
+        arena_bound_bytes::<f64>(alpha, alpha, beta, q, blocking::active_plan::<f64>())
+            .unwrap_or(u64::MAX);
 
     let mut report = OocReport {
         schema_version: mmc_obs::SCHEMA_VERSION,

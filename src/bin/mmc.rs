@@ -462,7 +462,7 @@ fn cmd_exec(flags: HashMap<String, String>) {
             crossover.map_or_else(|| "none".into(), |x| x.to_string()),
         );
         println!(
-            "  {dt:.3}s  ->  {:.2} GFLOP/s ({} tile tasks over {threads} threads, {kernel} kernel, {blocking})",
+            "  {dt:.3}s  ->  {:.2} GFLOP/s ({} tasks over {threads} threads, {kernel} kernel, {blocking})",
             flops / dt / 1e9,
             spans.len()
         );
@@ -1226,7 +1226,8 @@ fn cmd_drift(flags: HashMap<String, String>) {
     let variant = kernel_flag(&flags);
 
     // In-memory leg: one whole-problem tile so the five-loop closed
-    // forms (m·z·⌈n/NC⌉, z·n, ...) apply to the trace exactly.
+    // forms (m·z·⌈n/NC⌉, z·n, ...) apply to the trace exactly, per
+    // strip when the runner cuts the tile across threads.
     let a = BlockMatrix::pseudo_random(order, order, q, seed);
     let b = BlockMatrix::pseudo_random(order, order, q, seed + 1);
     let tiling = Tiling { tile_m: order, tile_n: order, tile_k: 1 };

@@ -299,7 +299,9 @@ fn run_ooc_job(
             trace_job: report.trace_job,
             elapsed_seconds: started.elapsed().as_secs_f64(),
             price: price.clone(),
-            peak_resident_bytes: report.peak_resident_bytes + report.pack_arena_bound_bytes,
+            peak_resident_bytes: report
+                .peak_resident_bytes
+                .saturating_add(report.pack_arena_bound_bytes),
             within_budget: report.within_budget,
             checksum: None,
             out: Some(spec.out.clone()),

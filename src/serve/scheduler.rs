@@ -12,15 +12,27 @@
 //! are rejected at submission (the rejection carries the predicted
 //! footprint); admitted jobs queue until their footprint fits in
 //! `budget − in_use`, so the pool stays saturated with compatible jobs
-//! without ever overcommitting RAM — first-fit over the FIFO queue, the
+//! without ever overcommitting the budget — first-fit over the FIFO queue, the
 //! same greedy packing [`mmc_core::params::ooc_staging`] applies to one
 //! job's panels.
+//!
+//! One resident cost sits outside the ledger. Products run on the
+//! process-wide worker pool, whose threads live as long as the process,
+//! and each worker's thread-local packing arena keeps the capacity of
+//! the largest panels it has packed. A job's price counts the arenas of
+//! every thread its product uses, but that reservation is released when
+//! the job finishes while the workers' arenas stay allocated. Resident
+//! memory can therefore exceed the reserved footprint by at most
+//! `(rayon::current_num_threads() − 1)` per-thread arenas of the largest
+//! in-core or staged product run so far (each per-thread arena is that
+//! product's `arena_bound_bytes` over the thread count).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 
-use crate::core::params::{ooc_staging, CoreGrid};
+use crate::core::params::ooc_staging;
 use crate::core::{formulas, OocStaging, ProblemSpec};
+use crate::exec::kernel::pack::arena_bound_bytes;
 use crate::exec::{blocking, CancelToken, Tiling};
 use crate::obs::DriftReport;
 use crate::ooc::{default_sigma_f, RING_SLOTS};
@@ -122,21 +134,20 @@ pub fn default_tiling(machine: &MachineConfig) -> Tiling {
     })
 }
 
-/// Worker count the packing-arena bound assumes: the compute pool's
-/// threads plus the coordinating caller.
-fn arena_workers() -> u64 {
-    std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(4) + 1
+/// Analytic bound on the thread-local packing arenas of one in-core
+/// multiply of an `m×n×z`-block product: see
+/// [`crate::exec::kernel::pack::arena_bound_bytes`].
+fn pack_arena_bound(m: u32, n: u32, z: u32, q: usize) -> Result<u64, String> {
+    arena_bound_bytes::<f64>(m, n, z, q, blocking::active_plan::<f64>())
+        .ok_or_else(|| format!("packing-arena bound overflows: {m}x{n}x{z} blocks of {q}x{q}"))
 }
 
-/// Analytic bound on the thread-local packing arenas of one in-core
-/// multiply: per worker, one `MC×KC` `A` panel and one `KC×NC` `B`
-/// panel (each clamped to the problem extents).
-fn pack_arena_bound(m: u32, n: u32, z: u32, q: usize) -> u64 {
-    let plan = blocking::active_plan::<f64>();
-    let (me, ne, ze) = (m as u64 * q as u64, n as u64 * q as u64, z as u64 * q as u64);
-    let a_panel = (plan.mc as u64).min(me) * (plan.kc as u64).min(ze);
-    let b_panel = (plan.kc as u64).min(ze) * (plan.nc as u64).min(ne);
-    arena_workers() * (a_panel + b_panel) * 8
+/// Bytes of one `q×q` f64 block, or an error when that overflows.
+fn block_bytes(q: usize) -> Result<u64, String> {
+    (q as u64)
+        .checked_mul(q as u64)
+        .and_then(|e| e.checked_mul(8))
+        .ok_or_else(|| format!("block side {q} overflows the block size"))
 }
 
 /// The in-core miss predictions `(M_S, M_D)` of the configured machine
@@ -159,12 +170,15 @@ pub fn price_mem(spec: &MemJobSpec, machine: &MachineConfig) -> Result<JobPrice,
     if m == 0 || n == 0 || z == 0 || q == 0 {
         return Err(format!("job shape must be positive, got m={m} n={n} z={z} q={q}"));
     }
-    let block_bytes = (q * q * 8) as u64;
-    let operand_blocks = m as u64 * z as u64 + z as u64 * n as u64 + m as u64 * n as u64;
-    let footprint_bytes = operand_blocks
-        .checked_mul(block_bytes)
-        .and_then(|b| b.checked_add(pack_arena_bound(m, n, z, q)))
-        .ok_or_else(|| format!("job footprint overflows: {operand_blocks} blocks of {q}x{q}"))?;
+    let block_bytes = block_bytes(q)?;
+    let arena = pack_arena_bound(m, n, z, q)?;
+    let (m64, n64, z64) = (m as u64, n as u64, z as u64);
+    let footprint_bytes = (m64 * z64)
+        .checked_add(z64 * n64)
+        .and_then(|b| b.checked_add(m64 * n64))
+        .and_then(|b| b.checked_mul(block_bytes))
+        .and_then(|b| b.checked_add(arena))
+        .ok_or_else(|| format!("job footprint overflows: {m}x{n}x{z} blocks of {q}x{q}"))?;
     if spec.algo == "strassen" {
         let base = m.max(n).max(z) as u64;
         let plan = sim_strassen::strassen_plan(base, crate::strassen::DEFAULT_CUTOFF as u64);
@@ -213,7 +227,7 @@ pub fn price_ooc(
     q: usize,
     machine: &MachineConfig,
 ) -> Result<JobPrice, String> {
-    let block_bytes = (q * q * 8) as u64;
+    let block_bytes = block_bytes(q)?;
     let budget_blocks = spec.mem_budget_bytes / block_bytes;
     let staging = ooc_staging(budget_blocks, RING_SLOTS, 0.1, 1.0).ok_or_else(|| {
         format!(
@@ -223,12 +237,15 @@ pub fn price_ooc(
             1 + 2 * RING_SLOTS as u64
         )
     })?;
-    // The inner compute tiling clamps the arena like the ooc driver's
-    // √p split does.
-    let pr = CoreGrid::square(machine.cores).map(|g| g.rows).unwrap_or(1).max(1);
-    let tile = staging.alpha.div_ceil(pr).max(1);
-    let arena = arena_workers() * (2 * tile as u64) * staging.beta as u64 * block_bytes;
-    let footprint_bytes = staging.resident_blocks() * block_bytes + arena;
+    // Every accumulate call multiplies at most an α×β by a β×α panel.
+    let arena = pack_arena_bound(staging.alpha, staging.alpha, staging.beta, q)?;
+    let footprint_bytes = staging
+        .resident_blocks()
+        .checked_mul(block_bytes)
+        .and_then(|b| b.checked_add(arena))
+        .ok_or_else(|| {
+            format!("staged footprint overflows: {} blocks of {q}x{q}", staging.resident_blocks())
+        })?;
     let (ms, md) = in_core_misses(m, n, z, machine);
     let t_data = TData3 {
         mf: staging.disk_blocks(m, n, z) as f64,
@@ -494,6 +511,8 @@ impl Scheduler {
                 return None;
             }
             if st.running < self.max_concurrent {
+                // Reserved footprints only: the pool workers' retained
+                // packing arenas are not in `ram_in_use` (module docs).
                 let free = self.ram_budget_bytes - st.ram_in_use;
                 // First-fit over the FIFO queue: skip jobs too big for
                 // the current free budget so smaller compatible jobs
@@ -657,6 +676,29 @@ mod tests {
 
     fn mem_spec(m: u32, n: u32, z: u32, q: usize) -> MemJobSpec {
         MemJobSpec { m, n, z, q, seed_a: 1, seed_b: 2, algo: "classic".into() }
+    }
+
+    #[test]
+    fn hostile_ooc_spec_prices_to_an_error_not_a_wrap() {
+        let machine = MachineConfig::quad_q32();
+        let spec = |mem_budget_bytes: u64| OocJobSpec {
+            a: "a.tiled".into(),
+            b: "b.tiled".into(),
+            out: "c.tiled".into(),
+            mem_budget_bytes,
+            io_threads: 1,
+        };
+        // A budget the staged ring nearly fills, with blocks so large
+        // that adding the packing arenas overflows u64 bytes.
+        let err = price_ooc(&spec(u64::MAX), 1 << 20, 1 << 20, 1 << 20, 1 << 29, &machine)
+            .expect_err("overflowing footprint must be refused");
+        assert!(err.contains("overflows"), "{err}");
+        // A block side whose q² bytes overflow.
+        let err = price_ooc(&spec(1 << 30), 8, 8, 8, usize::MAX / 2, &machine)
+            .expect_err("overflowing block size must be refused");
+        assert!(err.contains("overflows"), "{err}");
+        // A sane spec still prices.
+        assert!(price_ooc(&spec(64 << 20), 64, 64, 64, 32, &machine).is_ok());
     }
 
     #[test]
