@@ -168,7 +168,8 @@ pub struct ExecModel {
 impl ExecModel {
     /// Build the model for a run: problem shape from the operand grid,
     /// thread count from the current rayon pool (call it where the run
-    /// runs), roofs from the roofline module's estimates.
+    /// runs), roofs from the roofline module's estimates, which are
+    /// measured once per process.
     pub fn for_run<T: Element>(
         a: &BlockMatrixOf<T>,
         b: &BlockMatrixOf<T>,

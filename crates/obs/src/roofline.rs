@@ -9,6 +9,7 @@
 //! an array far larger than any cache on the paper's machines.
 
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// One roofline point for a named kernel run.
@@ -92,10 +93,17 @@ pub fn roofline_bound(intensity: f64, bandwidth_gbs: f64, peak_gflops: f64) -> f
     (intensity * bandwidth_gbs).min(peak_gflops)
 }
 
-/// Measure sustained memory bandwidth with a STREAM-triad kernel
+/// Sustained memory bandwidth from a STREAM-triad kernel
 /// (`a[i] = b[i] + s * c[i]`, 3 × 8 bytes moved per element) over arrays
-/// too large for any cache level, returning the best-of-`passes` GB/s.
+/// too large for any cache level: the best-of-`passes` GB/s, measured
+/// once per process and returned from memory after that, so a caller
+/// running next to other work does not re-measure under its contention.
 pub fn stream_triad_bandwidth_gbs() -> f64 {
+    static GBS: OnceLock<f64> = OnceLock::new();
+    *GBS.get_or_init(measure_triad_gbs)
+}
+
+fn measure_triad_gbs() -> f64 {
     const N: usize = 1 << 19; // 3 arrays × 4 MiB: beyond the paper's largest L2/L3.
     const PASSES: usize = 5;
     let b = vec![1.0f64; N];
@@ -130,22 +138,25 @@ pub fn peak_gflops_estimate(threads: usize, ghz: f64, flops_per_cycle: f64) -> f
     threads as f64 * ghz * flops_per_cycle
 }
 
-/// The CPU clock in GHz, from `/proc/cpuinfo`'s first `cpu MHz` line.
-/// Containers and non-x86 kernels often omit the field; the 3.0 GHz
-/// fallback is a nominal desktop clock, close to the 2.66/2.93 GHz
-/// parts in the paper's evaluation, and only sizes the flat roof — the
-/// record carries the measured GFLOP/s either way.
+/// The CPU clock in GHz, from `/proc/cpuinfo`'s first `cpu MHz` line,
+/// measured once per process. Containers and non-x86 kernels often omit
+/// the field; the 3.0 GHz fallback is a nominal desktop clock, close to
+/// the 2.66/2.93 GHz parts in the paper's evaluation, and only sizes the
+/// flat roof — the record carries the measured GFLOP/s either way.
 pub fn cpu_ghz_estimate() -> f64 {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|text| {
-            text.lines().find_map(|l| {
-                let rest = l.strip_prefix("cpu MHz")?;
-                rest.split(':').nth(1)?.trim().parse::<f64>().ok()
+    static GHZ: OnceLock<f64> = OnceLock::new();
+    *GHZ.get_or_init(|| {
+        std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|text| {
+                text.lines().find_map(|l| {
+                    let rest = l.strip_prefix("cpu MHz")?;
+                    rest.split(':').nth(1)?.trim().parse::<f64>().ok()
+                })
             })
-        })
-        .map(|mhz| mhz / 1000.0)
-        .unwrap_or(3.0)
+            .map(|mhz| mhz / 1000.0)
+            .unwrap_or(3.0)
+    })
 }
 
 /// FLOPs per cycle per core for a kernel variant name, used when sizing
@@ -214,9 +225,13 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_measurement_is_positive() {
+    fn roofs_are_measured_once_per_process() {
         let bw = stream_triad_bandwidth_gbs();
-        assert!(bw > 0.0, "triad bandwidth must be positive, got {bw}");
+        assert!(bw.is_finite() && bw > 0.0, "triad bandwidth {bw}");
+        assert_eq!(bw.to_bits(), stream_triad_bandwidth_gbs().to_bits());
+        let ghz = cpu_ghz_estimate();
+        assert!(ghz.is_finite() && ghz > 0.0, "clock {ghz}");
+        assert_eq!(ghz.to_bits(), cpu_ghz_estimate().to_bits());
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! [`protocol`], prices each one up front with the paper's model
 //! ([`scheduler::price_mem`] / [`scheduler::price_ooc`]), and packs
 //! compatible jobs onto a shared worker pool without ever overcommitting
-//! the configured RAM budget ([`scheduler::Scheduler`]).
+//! the configured RAM budget ([`scheduler::Scheduler`]). Jobs run on
+//! `max_concurrent` persistent runner threads started with the server.
 //!
 //! Every dispatched job runs as a cancellable job unit
 //! ([`mmc_exec::job::CancelToken`](crate::exec::CancelToken))
@@ -27,9 +28,9 @@ pub use scheduler::{
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::exec::kernel::variants_available;
 use crate::exec::{
@@ -49,7 +50,8 @@ pub struct ServeConfig {
     pub addr: String,
     /// Total RAM budget for concurrently running jobs, bytes.
     pub ram_budget_bytes: u64,
-    /// Maximum jobs on the pool at once.
+    /// Maximum jobs running at once: the number of persistent job
+    /// runner threads.
     pub max_concurrent: usize,
     /// Machine model used for admission pricing.
     pub machine: MachineConfig,
@@ -107,14 +109,18 @@ impl Shared {
 /// [`Server::shutdown`] then [`Server::wait`] for a clean exit.
 pub struct Server {
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    dispatcher: Option<JoinHandle<()>>,
-    job_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    accept: JoinHandle<()>,
+    runners: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Bind, spawn the accept loop and the dispatcher, and return.
+    /// Measure the machine roofs, bind, spawn the accept loop and
+    /// `max_concurrent` job runners, and return.
     pub fn start(config: ServeConfig) -> io::Result<Server> {
+        // Every classic job's drift model prices at these roofs; measure
+        // them now, on an idle process, rather than inside the first job.
+        crate::obs::stream_triad_bandwidth_gbs();
+        crate::obs::cpu_ghz_estimate();
         let listener =
             TcpListener::bind(config.addr.to_socket_addrs()?.next().ok_or_else(|| {
                 io::Error::new(io::ErrorKind::InvalidInput, "unresolvable bind address")
@@ -129,20 +135,22 @@ impl Server {
             ),
             addr,
         });
-        let job_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            let handles = Arc::clone(&job_handles);
-            thread::spawn(move || {
-                while let Some((id, spec, price, token)) = shared.scheduler.next_runnable() {
-                    let shared = Arc::clone(&shared);
-                    let h =
-                        thread::spawn(move || run_job(&shared.scheduler, id, spec, price, token));
-                    handles.lock().unwrap().push(h);
-                }
+        // Persistent runners: each keeps its packing arena and span ring
+        // from job to job instead of a fresh thread leaving both behind.
+        let runners = (0..shared.scheduler.max_concurrent)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                thread::Builder::new().name(format!("serve-runner-{i}")).spawn(move || {
+                    let sched = &shared.scheduler;
+                    while let Some((id, spec, price, token)) = sched.next_runnable() {
+                        run_job(sched, id, spec, price, token);
+                    }
+                })
             })
-        };
+            .collect::<io::Result<Vec<_>>>()
+            // Runners already started see the shutdown and return.
+            .inspect_err(|_| shared.scheduler.shutdown())?;
 
         let accept = {
             let shared = Arc::clone(&shared);
@@ -160,7 +168,7 @@ impl Server {
             })
         };
 
-        Ok(Server { shared, accept: Some(accept), dispatcher: Some(dispatcher), job_handles })
+        Ok(Server { shared, accept, runners })
     }
 
     /// The bound address (with the real port when `:0` was requested).
@@ -179,25 +187,13 @@ impl Server {
         self.shared.initiate_shutdown();
     }
 
-    /// Block until the accept loop, the dispatcher and every dispatched
-    /// job thread have exited. Call [`Server::shutdown`] first (or let a
-    /// client's `shutdown` command do it).
-    pub fn wait(mut self) {
-        if let Some(h) = self.accept.take() {
+    /// Block until the accept loop and every job runner have exited.
+    /// Call [`Server::shutdown`] first (or let a client's `shutdown`
+    /// command do it).
+    pub fn wait(self) {
+        let _ = self.accept.join();
+        for h in self.runners {
             let _ = h.join();
-        }
-        if let Some(h) = self.dispatcher.take() {
-            let _ = h.join();
-        }
-        loop {
-            let drained: Vec<JoinHandle<()>> =
-                std::mem::take(&mut *self.job_handles.lock().unwrap());
-            if drained.is_empty() {
-                break;
-            }
-            for h in drained {
-                let _ = h.join();
-            }
         }
     }
 }
@@ -478,15 +474,28 @@ fn ooc_shape(spec: &OocJobSpec) -> Result<(u32, u32, u32, usize), String> {
     Ok((ha.rows, hb.cols, ha.cols, ha.q))
 }
 
+/// Longest request line the server reads, newline included. A longer
+/// line gets a protocol error and the connection is closed, so a peer
+/// cannot grow the line buffer without bound.
+pub const MAX_LINE_BYTES: u64 = 1 << 20;
+
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
+    // Each reply is one write; with Nagle on, a reply that follows the
+    // peer's request could still wait for its delayed ACK.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     let mut line = String::new();
     let mut first = true;
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        let n = (&mut reader).take(MAX_LINE_BYTES).read_line(&mut line)?;
+        if n == 0 {
             return Ok(());
+        }
+        if n as u64 == MAX_LINE_BYTES && !line.ends_with('\n') {
+            let error = protocol::error_line(&format!("request line exceeds {n} bytes"));
+            return close_with(&format!("{error}\n"), &mut reader, &mut writer);
         }
         if first && (line.starts_with("GET ") || line.starts_with("HEAD ")) {
             return serve_http(&line, &mut reader, &mut writer);
@@ -495,18 +504,33 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> 
         if line.trim().is_empty() {
             continue;
         }
-        let (resp, shutdown_after) = match protocol::parse_request(&line) {
+        let (mut resp, shutdown_after) = match protocol::parse_request(&line) {
             Ok(req) => handle_request(req, shared),
             Err(e) => (protocol::error_line(&e), false),
         };
+        resp.push('\n');
         writer.write_all(resp.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
         if shutdown_after {
             shared.initiate_shutdown();
             return Ok(());
         }
     }
+}
+
+/// Send a last `reply` and close without a reset: half-close, then
+/// discard what the peer still sends (at most [`MAX_LINE_BYTES`], for at
+/// most a second), since closing on unread input resets the connection
+/// and can drop the reply.
+fn close_with(
+    reply: &str,
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut TcpStream,
+) -> io::Result<()> {
+    writer.write_all(reply.as_bytes())?;
+    writer.shutdown(Shutdown::Write)?;
+    writer.set_read_timeout(Some(Duration::from_secs(1)))?;
+    let _ = io::copy(&mut reader.take(MAX_LINE_BYTES), &mut io::sink());
+    Ok(())
 }
 
 /// Minimal HTTP for scrapers: `GET /metrics` returns the Prometheus
@@ -516,14 +540,6 @@ fn serve_http(
     reader: &mut BufReader<TcpStream>,
     writer: &mut TcpStream,
 ) -> io::Result<()> {
-    // Drain the request headers so the client sees a clean close.
-    let mut header = String::new();
-    while reader.read_line(&mut header)? > 0 {
-        if header == "\r\n" || header == "\n" {
-            break;
-        }
-        header.clear();
-    }
     let path = request_line.split_whitespace().nth(1).unwrap_or("/");
     let (status, body) = if path == "/metrics" || path.starts_with("/metrics?") {
         ("200 OK", crate::obs::global().render_prometheus())
@@ -535,12 +551,7 @@ fn serve_http(
          Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    writer.write_all(head.as_bytes())?;
-    writer.write_all(body.as_bytes())?;
-    writer.flush()?;
-    let _ = writer.shutdown(Shutdown::Both);
-    let _ = reader.read(&mut [0u8; 1]);
-    Ok(())
+    close_with(&format!("{head}{body}"), reader, writer)
 }
 
 #[cfg(test)]

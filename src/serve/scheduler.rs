@@ -16,16 +16,21 @@
 //! same greedy packing [`mmc_core::params::ooc_staging`] applies to one
 //! job's panels.
 //!
-//! One resident cost sits outside the ledger. Products run on the
-//! process-wide worker pool, whose threads live as long as the process,
-//! and each worker's thread-local packing arena keeps the capacity of
-//! the largest panels it has packed. A job's price counts the arenas of
-//! every thread its product uses, but that reservation is released when
-//! the job finishes while the workers' arenas stay allocated. Resident
-//! memory can therefore exceed the reserved footprint by at most
-//! `(rayon::current_num_threads() − 1)` per-thread arenas of the largest
-//! in-core or staged product run so far (each per-thread arena is that
-//! product's `arena_bound_bytes` over the thread count).
+//! Some resident memory sits outside the ledger. Jobs run on
+//! `max_concurrent` persistent runner threads, their products on the
+//! process-wide worker pool, and all of these threads live as long as
+//! the server. Each runner and pool worker keeps its thread-local
+//! packing arena at the capacity of the largest panels it has packed,
+//! and one span ring ([`crate::obs::span::ring_capacity`] spans, about
+//! 0.5 MiB by default). A job's price counts the arenas of every thread
+//! its product uses, but that reservation is released when the job
+//! finishes while the arenas stay allocated. Resident memory can
+//! therefore exceed the reserved footprint by at most
+//! `max_concurrent + rayon::current_num_threads() − 1` per-thread arenas
+//! of the largest in-core or staged product run so far (each per-thread
+//! arena is that product's `arena_bound_bytes` over the thread count),
+//! plus one span ring per runner and pool worker. The bound does not
+//! grow with the number of jobs served.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
@@ -401,7 +406,7 @@ pub struct Rejection {
 }
 
 /// The admission controller and job table. All synchronization lives
-/// here; the server's dispatcher and connection threads share one
+/// here; the server's job runners and connection threads share one
 /// instance.
 pub struct Scheduler {
     state: Mutex<SchedState>,
@@ -501,7 +506,7 @@ impl Scheduler {
         Ok((id, price))
     }
 
-    /// Dispatcher side: block until a queued job fits in the free
+    /// Runner side: block until a queued job fits in the free
     /// budget and a pool slot is open, then reserve its footprint and
     /// return it. `None` once the scheduler is shut down and drained.
     pub fn next_runnable(&self) -> Option<(u64, JobSpec, JobPrice, CancelToken)> {
@@ -616,7 +621,7 @@ impl Scheduler {
     }
 
     /// Stop admitting, cancel everything queued, and trip the tokens of
-    /// running jobs. The dispatcher drains once running jobs finish.
+    /// running jobs. Runners return once their running jobs finish.
     pub fn shutdown(&self) {
         let mut st = self.state.lock().unwrap();
         st.shutdown = true;

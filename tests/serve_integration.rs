@@ -2,17 +2,19 @@
 //! port, concurrent in-memory and out-of-core jobs whose combined naive
 //! footprint exceeds the RAM budget, bit-identity against the direct
 //! APIs, model-priced rejections, mid-job cancellation, the Prometheus
-//! endpoint, and clean shutdown.
+//! endpoint, round-trip latency, the request-line cap, and clean
+//! shutdown.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use multicore_matmul::exec::{blocking, gemm_parallel_with_plan, BlockMatrix};
 use multicore_matmul::ooc::{ooc_multiply, write_pseudo_random, OocOpts};
 use multicore_matmul::serve::{
     checksum_f64, default_tiling, price_mem, price_ooc, serve_variant, MemJobSpec, OocJobSpec,
-    ServeConfig, Server,
+    ServeConfig, Server, MAX_LINE_BYTES,
 };
 use multicore_matmul::sim::MachineConfig;
 use multicore_matmul::strassen::{strassen_multiply, StrassenOpts, DEFAULT_CUTOFF};
@@ -30,9 +32,9 @@ impl Client {
     }
 
     fn call(&mut self, request: &str) -> Value {
-        self.writer.write_all(request.as_bytes()).unwrap();
-        self.writer.write_all(b"\n").unwrap();
-        self.writer.flush().unwrap();
+        // One write per request: a separate newline segment would wait
+        // on Nagle's algorithm for the server's delayed ACK.
+        self.writer.write_all(format!("{request}\n").as_bytes()).unwrap();
         let mut line = String::new();
         self.reader.read_line(&mut line).expect("read response line");
         assert!(!line.is_empty(), "server closed the connection mid-request");
@@ -422,6 +424,51 @@ fn metrics_endpoint_serves_prometheus_over_http() {
     let resp = client.call(r#"{"cmd":"stats"}"#);
     assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true));
 
+    client.call(r#"{"cmd":"shutdown"}"#);
+    server.wait();
+}
+
+/// A reply is one segment, so a round trip costs no delayed-ACK wait:
+/// 50 `stats` calls on one connection take well under a second (with a
+/// split reply each one waits ~40 ms for the client's delayed ACK).
+#[test]
+fn stats_round_trips_do_not_wait_for_delayed_acks() {
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr());
+    let t = Instant::now();
+    for _ in 0..50 {
+        let resp = client.call(r#"{"cmd":"stats"}"#);
+        assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true), "{resp:?}");
+    }
+    let took = t.elapsed();
+    assert!(took < Duration::from_secs(1), "50 stats round trips took {took:?}");
+
+    client.call(r#"{"cmd":"shutdown"}"#);
+    server.wait();
+}
+
+/// A request line longer than the cap gets a protocol error and the
+/// connection is closed; the server keeps serving other connections.
+#[test]
+fn oversized_request_line_is_refused_and_closed() {
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    // 2 MiB with no newline. The server may close before taking all of
+    // it, so a failed send is not an error here; the reply is.
+    let _ = conn.write_all(&vec![b'x'; 2 * MAX_LINE_BYTES as usize]);
+    let mut reader = BufReader::new(conn);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read the refusal");
+    let resp: Value = serde_json::from_str(&line).expect("refusal is JSON");
+    assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(false), "{resp:?}");
+    assert!(str_of(&resp, "error").contains("exceeds"), "{resp:?}");
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap_or(0), 0, "connection closed after refusal");
+
+    let mut client = Client::connect(server.local_addr());
+    let resp = client.call(r#"{"cmd":"stats"}"#);
+    assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true));
     client.call(r#"{"cmd":"shutdown"}"#);
     server.wait();
 }
