@@ -45,6 +45,9 @@ pub use kernel::elem::Element;
 pub use kernel::KernelVariant;
 pub use matrix::{BlockMatrix, BlockMatrixOf};
 pub use naive::gemm_naive;
+/// The data-parallel pool the executor runs on, for callers that build
+/// pools of their own (the serve daemon's job pool).
+pub use rayon;
 pub use runner::{
     gemm_accumulate, gemm_accumulate_cancellable, gemm_blocked, gemm_blocked_traced, gemm_parallel,
     gemm_parallel_cancellable, gemm_parallel_traced, gemm_parallel_with_kernel,

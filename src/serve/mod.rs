@@ -7,7 +7,9 @@
 //! ([`scheduler::price_mem`] / [`scheduler::price_ooc`]), and packs
 //! compatible jobs onto a shared worker pool without ever overcommitting
 //! the configured RAM budget ([`scheduler::Scheduler`]). Jobs run on
-//! `max_concurrent` persistent runner threads started with the server.
+//! `max_concurrent` persistent runner threads started with the server;
+//! large ones take turns on the server's own worker pool and small ones
+//! run single-threaded beside them (`compute`).
 //!
 //! Every dispatched job runs as a cancellable job unit
 //! ([`mmc_exec::job::CancelToken`](crate::exec::CancelToken))
@@ -16,6 +18,7 @@
 //! answers `GET /metrics` with the Prometheus exposition of the global
 //! registry.
 
+mod compute;
 pub mod protocol;
 pub mod scheduler;
 
@@ -41,6 +44,7 @@ use crate::obs::{span, SCHEMA_VERSION};
 use crate::ooc::{ooc_multiply_cancellable, OocError, OocOpts, TiledFile};
 use crate::sim::MachineConfig;
 use crate::strassen::{strassen_multiply_cancellable, StrassenOpts};
+use compute::Compute;
 use serde::Serialize;
 
 /// How a [`Server`] is configured.
@@ -94,6 +98,7 @@ pub fn serve_variant() -> KernelVariant {
 
 struct Shared {
     scheduler: Scheduler,
+    compute: Compute,
     addr: SocketAddr,
 }
 
@@ -133,6 +138,7 @@ impl Server {
                 config.machine,
                 config.band,
             ),
+            compute: Compute::new(),
             addr,
         });
 
@@ -142,9 +148,9 @@ impl Server {
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new().name(format!("serve-runner-{i}")).spawn(move || {
-                    let sched = &shared.scheduler;
-                    while let Some((id, spec, price, token)) = sched.next_runnable() {
-                        run_job(sched, id, spec, price, token);
+                    shared.compute.enter_runner();
+                    while let Some((id, spec, price, token)) = shared.scheduler.next_runnable() {
+                        run_job(&shared, id, spec, price, token);
                     }
                 })
             })
@@ -202,12 +208,13 @@ impl Server {
 // Job execution
 // ---------------------------------------------------------------------------
 
-fn run_job(sched: &Scheduler, id: u64, spec: JobSpec, price: JobPrice, token: CancelToken) {
+fn run_job(shared: &Shared, id: u64, spec: JobSpec, price: JobPrice, token: CancelToken) {
     let started = Instant::now();
-    let outcome = match &spec {
+    let sched = &shared.scheduler;
+    let outcome = shared.compute.run(price.flops, || match &spec {
         JobSpec::Mem(m) => run_mem_job(sched, id, m, &price, &token),
         JobSpec::Ooc(o) => run_ooc_job(sched, id, o, &price, &token),
-    };
+    });
     crate::obs::global().histogram("serve.job_us").observe(started.elapsed().as_micros() as u64);
     sched.finish(id, outcome);
 }

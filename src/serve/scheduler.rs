@@ -17,16 +17,16 @@
 //! job's panels.
 //!
 //! Some resident memory sits outside the ledger. Jobs run on
-//! `max_concurrent` persistent runner threads, their products on the
-//! process-wide worker pool, and all of these threads live as long as
-//! the server. Each runner and pool worker keeps its thread-local
-//! packing arena at the capacity of the largest panels it has packed,
-//! and one span ring ([`crate::obs::span::ring_capacity`] spans, about
+//! `max_concurrent` persistent runner threads, large products also on the
+//! server's own worker pool (one thread per CPU, the runner being one of
+//! them), and all of these threads live as long as the server. Each
+//! runner and pool worker keeps its thread-local packing arena at the
+//! capacity of the largest panels it has packed, and one span ring ([`crate::obs::span::ring_capacity`] spans, about
 //! 0.5 MiB by default). A job's price counts the arenas of every thread
 //! its product uses, but that reservation is released when the job
 //! finishes while the arenas stay allocated. Resident memory can
 //! therefore exceed the reserved footprint by at most
-//! `max_concurrent + rayon::current_num_threads() − 1` per-thread arenas
+//! `max_concurrent + available_parallelism − 1` per-thread arenas
 //! of the largest in-core or staged product run so far (each per-thread
 //! arena is that product's `arena_bound_bytes` over the thread count),
 //! plus one span ring per runner and pool worker. The bound does not
